@@ -31,8 +31,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "baselines/prodigy.h"
 #include "core/graph_prompter.h"
@@ -87,6 +89,29 @@ inline Env ParseEnv(int argc, char** argv) {
   env.pipeline = ConfigurePipelineFromFlags(flags);
   ConfigureObservability(env.telemetry_path, env.trace_path);
   return env;
+}
+
+// Host fingerprint for a timing report's config, so a committed report
+// names the host it ran on: online cores, CPU model (Linux
+// /proc/cpuinfo), the active SIMD dispatch level and the CMake build
+// type. The thread count is the caller's `threads` entry.
+inline void AddHostConfig(BenchReporter* report) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  report->AddConfig("host_nproc", static_cast<int64_t>(
+                                      std::thread::hardware_concurrency()));
+  report->AddConfig("host_cpu", cpu);
+  report->AddConfig("simd", std::string(SimdLevelName(ActiveSimdLevel())));
+  report->AddConfig("build_type", std::string(GP_BUILD_TYPE));
 }
 
 // Standard main() body for a bench binary: parses flags, runs `run` with a

@@ -5,11 +5,12 @@
 //
 // Beyond the google-benchmark cases, the binary always runs a headline
 // section that times the fused kernels (GatherScaleScatterMean,
-// LinearRelu) against the primitive-op chains they replaced, measures the
-// `av == 0` skip branch of the blocked GEMM on dense vs one-hot inputs,
-// and reports the buffer-pool hit rate on a training-step workload. The
-// headline numbers are written to <outdir>/BENCH_micro_ops.json so the
-// fused-kernel and allocator gains stay pinned in the perf trajectory.
+// LinearRelu, GatherLinearScaleScatterAdd) against the primitive-op chains
+// they replaced, measures the `av == 0` skip branch of the blocked GEMM on
+// dense vs one-hot inputs, and reports the buffer-pool hit rate on a
+// training-step workload. The headline numbers are written to
+// <outdir>/BENCH_micro_ops.json so the fused-kernel and allocator gains
+// stay pinned in the perf trajectory.
 //
 // Flags (in addition to google-benchmark's own --benchmark_* flags):
 //   --outdir=DIR        report directory (default "results")
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/knn_retrieval.h"
 #include "core/lfu_cache.h"
 #include "core/task_graph.h"
@@ -147,6 +149,69 @@ BENCHMARK(BM_LinearRelu)
     ->Args({1, 128})
     ->Args({0, 256})
     ->Args({1, 256});
+
+// The task graph's message-and-aggregate step at 100 ways (P=300 prompts,
+// Q=8 queries, d=64, E = 2(P+Q)m edges): the per-edge Linear chain
+// autograd records against the per-node GatherLinearScaleScatterAdd
+// inference runs.
+struct TaskGraphFixture {
+  static constexpr int kPrompts = 300;
+  static constexpr int kQueries = 8;
+  static constexpr int kWays = 100;
+  static constexpr int kDim = 64;
+  int nodes = kPrompts + kQueries + kWays;
+  Tensor h, efeat, weight, bias, alpha;
+  std::vector<int> src, dst;
+
+  explicit TaskGraphFixture(uint64_t seed) {
+    Rng rng(seed);
+    h = Tensor::Randn(nodes, kDim, &rng);
+    weight = Tensor::Randn(kDim + 4, kDim, &rng);
+    bias = Tensor::Randn(1, kDim, &rng);
+    std::vector<float> feat;
+    const int label_base = kPrompts + kQueries;
+    for (int node = 0; node < label_base; ++node) {
+      const bool is_query = node >= kPrompts;
+      for (int c = 0; c < kWays; ++c) {
+        const bool is_true = !is_query && node % kWays == c;
+        for (const bool reverse : {false, true}) {
+          src.push_back(reverse ? label_base + c : node);
+          dst.push_back(reverse ? node : label_base + c);
+          feat.insert(feat.end(),
+                      {is_true ? 1.0f : 0.0f,
+                       !is_query && !is_true ? 1.0f : 0.0f,
+                       is_query ? 1.0f : 0.0f, reverse ? 1.0f : 0.0f});
+        }
+      }
+    }
+    const int edges = static_cast<int>(src.size());
+    efeat = Tensor::FromData(edges, 4, std::move(feat));
+    alpha = Tensor::Randn(edges, 1, &rng);
+  }
+};
+
+Tensor TaskGraphAggregate(const TaskGraphFixture& f, bool fused) {
+  if (fused) {
+    return GatherLinearScaleScatterAdd(f.h, f.src, f.efeat, f.weight, f.bias,
+                                       f.alpha, f.dst, f.nodes);
+  }
+  Tensor messages = Add(
+      MatMul(ConcatCols(GatherRows(f.h, f.src), f.efeat), f.weight), f.bias);
+  return RowScaleScatterAdd(messages, f.alpha, f.dst, f.nodes);
+}
+
+void BM_TaskGraphAggregate(benchmark::State& state) {
+  const bool fused = state.range(0) == 1;
+  TaskGraphFixture f(37);
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    Tensor out = TaskGraphAggregate(f, fused);
+    benchmark::DoNotOptimize(out.raw());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.src.size()));
+}
+BENCHMARK(BM_TaskGraphAggregate)->ArgNames({"fused"})->Arg(0)->Arg(1);
 
 // The `av == 0.0f` skip branch in the GEMM micro-kernel: near-free on
 // dense inputs, and a large win on the one-hot label matrices the task
@@ -308,6 +373,8 @@ void RunHeadline(const std::string& outdir, int reps) {
   report.AddConfig("nodes", static_cast<int64_t>(2000));
   report.AddConfig("edges", static_cast<int64_t>(40000));
   report.AddConfig("dim", static_cast<int64_t>(64));
+  report.AddConfig("threads", static_cast<int64_t>(NumThreads()));
+  bench::AddHostConfig(&report);
   std::printf("\n=== headline: fused kernels & buffer pool ===\n");
 
   PoolScope scope;
@@ -349,6 +416,24 @@ void RunHeadline(const std::string& outdir, int reps) {
                    ReductionPct(lin_unfused, lin_fused), "%");
   std::printf("linear+relu        unfused %.3f ms  fused %.3f ms  (-%.1f%%)\n",
               lin_unfused, lin_fused, ReductionPct(lin_unfused, lin_fused));
+
+  // Task-graph message-and-aggregate at 100 ways: per-edge chain vs the
+  // per-node fused kernel.
+  TaskGraphFixture tg(41);
+  const double tg_chain = MedianMs(reps, [&] {
+    NoGradGuard no_grad;
+    benchmark::DoNotOptimize(TaskGraphAggregate(tg, false));
+  });
+  const double tg_fused = MedianMs(reps, [&] {
+    NoGradGuard no_grad;
+    benchmark::DoNotOptimize(TaskGraphAggregate(tg, true));
+  });
+  report.AddMetric("task_graph_aggregate/chain_ms", tg_chain, "ms");
+  report.AddMetric("task_graph_aggregate/fused_ms", tg_fused, "ms");
+  report.AddMetric("task_graph_aggregate/reduction_pct",
+                   ReductionPct(tg_chain, tg_fused), "%");
+  std::printf("task-graph aggr.   chain %.3f ms  fused %.3f ms  (-%.1f%%)\n",
+              tg_chain, tg_fused, ReductionPct(tg_chain, tg_fused));
 
   // GEMM skip branch: dense cost vs one-hot payoff.
   const int n = 256;

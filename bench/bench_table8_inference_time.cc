@@ -190,6 +190,7 @@ void WriteResults(const std::vector<CapturedRun>& results, const Env& env) {
   report.AddConfig("scale", env.scale);
   report.AddConfig("seed", static_cast<int64_t>(env.seed));
   report.AddConfig("threads", static_cast<int64_t>(env.threads));
+  AddHostConfig(&report);
   for (const CapturedRun& run : results) {
     table.AddRow({run.method, std::to_string(run.ways),
                   TablePrinter::Num(run.ms_per_query, 4),

@@ -1,6 +1,7 @@
 #include "core/task_graph.h"
 
 #include "obs/trace.h"
+#include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -31,20 +32,26 @@ TaskGraphNet::TaskGraphNet(const TaskGraphConfig& config, Rng* rng)
   }
 }
 
+TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
+                                      const std::vector<int>& prompt_labels,
+                                      const Tensor& query_embeddings,
+                                      int num_classes) const {
+  return std::move(ForwardBatch({{&prompt_embeddings, &prompt_labels,
+                                  &query_embeddings, num_classes}})[0]);
+}
+
 std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
     const std::vector<TaskGraphUnit>& units) const {
   if (units.empty()) return {};
-  if (units.size() == 1) {
-    return {Forward(*units[0].prompt_embeddings, *units[0].prompt_labels,
-                    *units[0].query_embeddings, units[0].num_classes)};
-  }
-  GP_TRACE_SPAN("task_graph/forward_batch");
+  GP_TRACE_SPAN(units.size() == 1 ? "task_graph/forward"
+                                  : "task_graph/forward_batch");
   const int dim = config_.embedding_dim;
 
   // Node layout: per unit [prompts | queries | labels], units concatenated.
-  // Label-node initialisation uses the same per-unit expression as
-  // Forward (SegmentMeanRows over that unit's prompts + label_init_), so
-  // the stacked initial features match the standalone ones row for row.
+  // Initial features: data-graph embeddings for data nodes. Label nodes
+  // start from the mean of their true-class prompts ("label embeddings in
+  // the task graph are aggregated from prompts", Sec. IV-B1) plus a shared
+  // learnable offset; the attention layers then refine them.
   struct UnitLayout {
     int base = 0;        // first node of the unit
     int num_prompts = 0;
@@ -77,12 +84,13 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
   }
   Tensor h = ConcatRows(feature_parts);
 
-  // Edges are emitted unit by unit in exactly Forward's order, so every
-  // destination node sees its incoming edges in the same sequence as a
-  // standalone run — SegmentSoftmax and RowScaleScatterAdd then reduce in
-  // the same order and reproduce the standalone values bitwise.
+  // Bipartite edges, both directions, with edge attributes, emitted unit by
+  // unit: every destination node sees its incoming edges in the same
+  // sequence as when its unit runs alone, so SegmentSoftmax and the
+  // scatter-add reduce in the same order and reproduce those values
+  // bitwise.
   std::vector<int> src, dst;
-  std::vector<float> edge_feat;
+  std::vector<float> edge_feat;  // flattened (E x kEdgeFeatDim)
   auto add_edge = [&](int from, int to, bool is_true, bool is_false,
                       bool is_query, bool reverse) {
     src.push_back(from);
@@ -116,10 +124,20 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
   Tensor efeat =
       Tensor::FromData(num_edges, kEdgeFeatDim, std::move(edge_feat));
 
+  // Attention message passing (GNN_T). Inference runs the message Linear
+  // once per node instead of once per edge (GatherLinearScaleScatterAdd,
+  // bitwise equal to the chain). Training keeps the chain: a fused node
+  // recorded after SegmentSoftmax would move the message path's h.grad
+  // contribution ahead of the attention logits' on the tape and change
+  // the gradient bits.
+  const bool fused = !GradEnabled();
   for (size_t li = 0; li < layers_.size(); ++li) {
     const auto& layer = *layers_[li];
-    Tensor h_src = GatherRows(h, src);
-    Tensor messages = layer.message->Forward(ConcatCols(h_src, efeat));
+    Tensor messages;  // (E x d), chain path only
+    if (!fused) {
+      messages = layer.message->Forward(ConcatCols(GatherRows(h, src), efeat));
+    }
+    // Attention logits combine source, destination, and edge attributes.
     Tensor logits = LeakyRelu(
         Add(Add(GatherRows(MatMul(h, layer.attn_src), src),
                 GatherRows(MatMul(h, layer.attn_dst), dst)),
@@ -127,15 +145,20 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
         config_.leaky_slope);
     Tensor alpha = SegmentSoftmax(logits, dst, total_nodes);
     Tensor aggregated =
-        RowScaleScatterAdd(messages, alpha, dst, total_nodes);
+        fused ? GatherLinearScaleScatterAdd(
+                    h, src, efeat, layer.message->weight(),
+                    layer.message->bias(), alpha, dst, total_nodes)
+              : RowScaleScatterAdd(messages, alpha, dst, total_nodes);
+    // Residual update: the initial metric structure (queries vs class
+    // means) is preserved and the attention learns a correction.
     Tensor update = Add(layer.self->Forward(h), aggregated);
     if (li + 1 < layers_.size()) update = Relu(update);
     h = Add(h, Mul(update, layer.gate));
   }
 
-  // Per-unit score heads: slice the unit's query/label rows out of the
-  // stacked state and apply exactly Forward's tail (row-wise L2 normalise,
-  // per-unit (Q_i x m_i) MatMul) so no cross-unit pair is ever scored.
+  // Per-unit score heads (Eq. 11): cosine similarity between the unit's
+  // query and label embeddings, scaled into logits, so no cross-unit pair
+  // is ever scored.
   std::vector<TaskGraphOutput> outputs(units.size());
   for (size_t u = 0; u < units.size(); ++u) {
     const UnitLayout& l = layout[u];
@@ -149,95 +172,6 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
         Scale(MatMul(qn, Transpose(ln)), config_.score_temperature);
   }
   return outputs;
-}
-
-TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
-                                      const std::vector<int>& prompt_labels,
-                                      const Tensor& query_embeddings,
-                                      int num_classes) const {
-  GP_TRACE_SPAN("task_graph/forward");
-  const int num_prompts = prompt_embeddings.rows();
-  const int num_queries = query_embeddings.rows();
-  const int dim = config_.embedding_dim;
-  CHECK_EQ(prompt_embeddings.cols(), dim);
-  CHECK_EQ(query_embeddings.cols(), dim);
-  CHECK_EQ(static_cast<size_t>(num_prompts), prompt_labels.size());
-  CHECK_GE(num_classes, 1);
-
-  // Node layout: [prompts | queries | labels].
-  const int label_base = num_prompts + num_queries;
-  const int total_nodes = label_base + num_classes;
-
-  // Initial features: data-graph embeddings for data nodes. Label nodes
-  // start from the mean of their true-class prompts ("label embeddings in
-  // the task graph are aggregated from prompts", Sec. IV-B1) plus a shared
-  // learnable offset; the attention layers then refine them.
-  Tensor label_rows =
-      Add(SegmentMeanRows(prompt_embeddings, prompt_labels, num_classes),
-          label_init_);
-  Tensor h = ConcatRows({prompt_embeddings, query_embeddings, label_rows});
-
-  // Bipartite edges, both directions, with edge attributes.
-  std::vector<int> src, dst;
-  std::vector<float> edge_feat;  // flattened (E x kEdgeFeatDim)
-  auto add_edge = [&](int from, int to, bool is_true, bool is_false,
-                      bool is_query, bool reverse) {
-    src.push_back(from);
-    dst.push_back(to);
-    edge_feat.push_back(is_true ? 1.0f : 0.0f);
-    edge_feat.push_back(is_false ? 1.0f : 0.0f);
-    edge_feat.push_back(is_query ? 1.0f : 0.0f);
-    edge_feat.push_back(reverse ? 1.0f : 0.0f);
-  };
-  for (int p = 0; p < num_prompts; ++p) {
-    for (int c = 0; c < num_classes; ++c) {
-      const bool is_true = prompt_labels[p] == c;
-      add_edge(p, label_base + c, is_true, !is_true, false, false);
-      add_edge(label_base + c, p, is_true, !is_true, false, true);
-    }
-  }
-  for (int q = 0; q < num_queries; ++q) {
-    for (int c = 0; c < num_classes; ++c) {
-      add_edge(num_prompts + q, label_base + c, false, false, true, false);
-      add_edge(label_base + c, num_prompts + q, false, false, true, true);
-    }
-  }
-  const int num_edges = static_cast<int>(src.size());
-  Tensor efeat =
-      Tensor::FromData(num_edges, kEdgeFeatDim, std::move(edge_feat));
-
-  // Attention message passing (GNN_T).
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const auto& layer = *layers_[li];
-    Tensor h_src = GatherRows(h, src);
-    Tensor messages =
-        layer.message->Forward(ConcatCols(h_src, efeat));  // (E x d)
-    // Attention logits combine source, destination, and edge attributes.
-    Tensor logits = LeakyRelu(
-        Add(Add(GatherRows(MatMul(h, layer.attn_src), src),
-                GatherRows(MatMul(h, layer.attn_dst), dst)),
-            MatMul(efeat, layer.attn_edge)),
-        config_.leaky_slope);
-    Tensor alpha = SegmentSoftmax(logits, dst, total_nodes);
-    Tensor aggregated =
-        RowScaleScatterAdd(messages, alpha, dst, total_nodes);
-    // Residual update: the initial metric structure (queries vs class
-    // means) is preserved and the attention learns a correction.
-    Tensor update = Add(layer.self->Forward(h), aggregated);
-    if (li + 1 < layers_.size()) update = Relu(update);
-    h = Add(h, Mul(update, layer.gate));
-  }
-
-  TaskGraphOutput out;
-  out.query_embeddings = SliceRows(h, num_prompts, num_queries);
-  out.label_embeddings = SliceRows(h, label_base, num_classes);
-  // Eq. 11: cosine similarity between query and label embeddings, scaled
-  // into logits.
-  Tensor qn = RowL2Normalize(out.query_embeddings);
-  Tensor ln = RowL2Normalize(out.label_embeddings);
-  out.query_scores =
-      Scale(MatMul(qn, Transpose(ln)), config_.score_temperature);
-  return out;
 }
 
 }  // namespace gp

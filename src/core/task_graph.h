@@ -53,7 +53,7 @@ class TaskGraphNet : public Module {
 
   // prompt_embeddings: (P x d) — the (importance-weighted) prompt set;
   // prompt_labels: episode-local class per prompt (values in [0, m));
-  // query_embeddings: (Q x d); num_classes: m.
+  // query_embeddings: (Q x d); num_classes: m. A one-unit ForwardBatch.
   TaskGraphOutput Forward(const Tensor& prompt_embeddings,
                           const std::vector<int>& prompt_labels,
                           const Tensor& query_embeddings,
@@ -64,11 +64,13 @@ class TaskGraphNet : public Module {
   // edges) so every Linear/attention kernel runs once per layer for the
   // whole batch instead of once per unit. Every kernel involved is
   // row- or segment-independent (the GEMM per-element order matches the
-  // naive loop, SegmentSoftmax/RowScaleScatterAdd reduce per destination
+  // naive loop, SegmentSoftmax and the scatter-add reduce per destination
   // node over that node's edges in emission order), so each unit's output
   // is bitwise identical to a standalone Forward on the same inputs — the
   // contract the batched serving path relies on, pinned by
-  // tests/serve_batch_test.cc.
+  // tests/serve_batch_test.cc. Under NoGradGuard the message Linear runs
+  // once per node through GatherLinearScaleScatterAdd (tensor/ops.h),
+  // bitwise equal to the per-edge chain autograd records.
   std::vector<TaskGraphOutput> ForwardBatch(
       const std::vector<TaskGraphUnit>& units) const;
 

@@ -1107,6 +1107,71 @@ Tensor RowScaleScatterAdd(const Tensor& src_rows, const Tensor& weights,
       });
 }
 
+Tensor GatherLinearScaleScatterAdd(const Tensor& h,
+                                   const std::vector<int>& src,
+                                   const Tensor& edge_feat,
+                                   const Tensor& weight, const Tensor& bias,
+                                   const Tensor& alpha,
+                                   const std::vector<int>& dst,
+                                   int num_rows) {
+  const int num_edges = static_cast<int>(src.size());
+  const int dim = h.cols();
+  const int feat_dim = edge_feat.cols();
+  const int cols = weight.cols();
+  CHECK_EQ(dst.size(), src.size());
+  CHECK_EQ(edge_feat.rows(), num_edges);
+  CHECK_EQ(weight.rows(), dim + feat_dim);
+  CHECK_EQ(bias.rows(), 1);
+  CHECK_EQ(bias.cols(), cols);
+  CHECK_EQ(alpha.rows(), num_edges);
+  CHECK_EQ(alpha.cols(), 1);
+  CHECK(!GradEnabled() ||
+        !(h.requires_grad() || edge_feat.requires_grad() ||
+          weight.requires_grad() || bias.requires_grad() ||
+          alpha.requires_grad()))
+      << "GatherLinearScaleScatterAdd has no backward; call it under "
+         "NoGradGuard";
+  const float* wd = weight.data().data();
+  // Per-node prefix: the GEMM over weight's first `dim` rows (contiguous at
+  // the top of the row-major matrix) — ascending k from zero with the same
+  // zero skip, i.e. the per-edge GEMM's first `dim` steps.
+  std::vector<float> hw =
+      AcquireZeroedBuffer(static_cast<size_t>(h.rows()) * cols);
+  const float* hd = h.data().data();
+  ParallelRange(h.rows(), static_cast<int64_t>(dim) * cols,
+                [&](int64_t first, int64_t last) {
+                  GemmRowsDispatch<true>(hd, wd, hw.data(), first, last, dim,
+                                         cols);
+                });
+  std::vector<float> out =
+      AcquireZeroedBuffer(static_cast<size_t>(num_rows) * cols);
+  std::vector<float> msg = AcquireBuffer(cols);
+  const float* fd = edge_feat.data().data();
+  const float* bd = bias.data().data();
+  const float* ad = alpha.data().data();
+  for (int e = 0; e < num_edges; ++e) {
+    DCHECK_GE(src[e], 0);
+    DCHECK_LT(src[e], h.rows());
+    DCHECK_GE(dst[e], 0);
+    DCHECK_LT(dst[e], num_rows);
+    std::copy_n(hw.data() + static_cast<size_t>(src[e]) * cols, cols,
+                msg.data());
+    const float* f = fd + static_cast<size_t>(e) * feat_dim;
+    for (int k = 0; k < feat_dim; ++k) {
+      const float fv = f[k];
+      if (fv == 0.0f) continue;
+      const float* wrow = wd + static_cast<size_t>(dim + k) * cols;
+      for (int j = 0; j < cols; ++j) msg[j] += fv * wrow[j];
+    }
+    const float ae = ad[e];
+    float* o = out.data() + static_cast<size_t>(dst[e]) * cols;
+    for (int j = 0; j < cols; ++j) o[j] += (msg[j] + bd[j]) * ae;
+  }
+  ReleaseBuffer(std::move(hw));
+  ReleaseBuffer(std::move(msg));
+  return Tensor::FromData(num_rows, cols, std::move(out));
+}
+
 Tensor LinearRelu(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   CHECK_EQ(x.cols(), weight.rows());
   const int rows = x.rows();

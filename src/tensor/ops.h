@@ -101,6 +101,23 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
 Tensor RowScaleScatterAdd(const Tensor& src_rows, const Tensor& weights,
                           const std::vector<int>& dst, int num_rows);
 
+// Inference-only fusion of the task graph's message-and-aggregate step
+//   RowScaleScatterAdd(Add(MatMul(ConcatCols(GatherRows(h, src), edge_feat),
+//                                 weight), bias), alpha, dst, num_rows)
+// with weight ((d + f) x C), bias (1 x C), edge_feat (E x f), alpha (E x 1).
+// The first d GEMM steps depend only on the source node, so they run once
+// per node (h * weight[0:d]); each edge then continues that accumulator
+// with its nonzero edge features in ascending order, adds the bias and
+// scatters — the per-edge GEMM's exact operation sequence, without the
+// (E x (d + f)) concat or the (E x C) message matrix. It records no
+// backward: CHECK-fails if autograd is on and any input requires a grad.
+Tensor GatherLinearScaleScatterAdd(const Tensor& h,
+                                   const std::vector<int>& src,
+                                   const Tensor& edge_feat,
+                                   const Tensor& weight, const Tensor& bias,
+                                   const Tensor& alpha,
+                                   const std::vector<int>& dst, int num_rows);
+
 // Fuses Relu(Add(MatMul(x, weight), bias)); `bias` (1 x C) may be
 // undefined for bias-free layers. Uses the same blocked GEMM kernel as
 // MatMul, so the result is bitwise identical to the unfused chain.

@@ -144,6 +144,58 @@ TEST(FusedOpsTest, RowScaleScatterAddMatchesUnfused) {
   ExpectBitwiseEqual(w_b.grad(), w_a.grad());
 }
 
+// GatherLinearScaleScatterAdd is inference-only, so only the forward is
+// pinned. The fixture covers an all-zero h row (the GEMM zero skip),
+// repeated sources, unsorted destinations, a node with no incoming edge,
+// and non-one-hot edge features.
+struct MessageFixture {
+  static constexpr int kNodes = 6;
+  static constexpr int kRows = 7;  // row 6 receives no edge
+  Tensor h, efeat, weight, bias, alpha;
+  std::vector<int> src{0, 2, 2, 4, 1, 2, 5, 3, 0};
+  std::vector<int> dst{3, 0, 5, 1, 3, 2, 0, 4, 1};
+
+  MessageFixture() {
+    Rng rng(41);
+    const int edges = static_cast<int>(src.size());
+    h = Tensor::Randn(kNodes, 9, &rng);
+    for (int c = 0; c < 9; ++c) h.at(2, c) = 0.0f;
+    efeat = Tensor::Zeros(edges, 3);
+    for (int e = 0; e < edges; ++e) {
+      efeat.at(e, e % 3) = 1.0f;
+      if (e % 4 == 0) efeat.at(e, (e + 1) % 3) = rng.Normal();
+    }
+    weight = Tensor::Randn(9 + 3, 20, &rng, 1.0f, /*requires_grad=*/true);
+    bias = Tensor::Randn(1, 20, &rng, 1.0f, /*requires_grad=*/true);
+    alpha = Tensor::Randn(edges, 1, &rng);
+  }
+};
+
+TEST(FusedOpsTest, GatherLinearScaleScatterAddMatchesUnfused) {
+  MessageFixture f;
+  NoGradGuard no_grad;
+  Tensor unfused = RowScaleScatterAdd(
+      Add(MatMul(ConcatCols(GatherRows(f.h, f.src), f.efeat), f.weight),
+          f.bias),
+      f.alpha, f.dst, MessageFixture::kRows);
+  Tensor fused = GatherLinearScaleScatterAdd(f.h, f.src, f.efeat, f.weight,
+                                             f.bias, f.alpha, f.dst,
+                                             MessageFixture::kRows);
+  EXPECT_EQ(fused.rows(), MessageFixture::kRows);
+  EXPECT_EQ(fused.cols(), 20);
+  ExpectBitwiseEqual(fused.data(), unfused.data());
+  for (int c = 0; c < 20; ++c) EXPECT_EQ(fused.at(6, c), 0.0f);
+}
+
+TEST(FusedOpsTest, GatherLinearScaleScatterAddRefusesGradInputs) {
+  MessageFixture f;
+  ASSERT_TRUE(GradEnabled());
+  EXPECT_DEATH(GatherLinearScaleScatterAdd(f.h, f.src, f.efeat, f.weight,
+                                           f.bias, f.alpha, f.dst,
+                                           MessageFixture::kRows),
+               "no backward");
+}
+
 TEST(FusedOpsTest, LinearReluMatchesUnfusedForwardAndGradients) {
   Rng rng(11);
   Tensor x_a = Tensor::Randn(9, 6, &rng, 1.0f, /*requires_grad=*/true);

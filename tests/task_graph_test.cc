@@ -141,6 +141,47 @@ TEST(TaskGraphTest, ManyWaysShape) {
   EXPECT_EQ(out.query_scores.cols(), ways);
 }
 
+// Inference (NoGradGuard) runs the fused per-node message kernel, autograd
+// the per-edge Linear chain; both must give the same bits. Gates and
+// message biases are set nonzero so the attention path reaches the
+// outputs (a fresh net's zero gates would hide it). The last class has no
+// prompts whenever m > 1.
+TEST(TaskGraphTest, InferenceAndAutogradPathsAgreeBitwise) {
+  constexpr int kPrompts = 300;
+  constexpr int kQueries = 8;
+  for (int ways : {1, 3, 100}) {
+    SCOPED_TRACE(ways);
+    Rng rng(10 + ways);
+    TaskGraphNet net(TaskGraphConfig{}, &rng);
+    for (auto& [name, param] : net.NamedParameters()) {
+      const bool gate = name.size() >= 4 &&
+                        name.compare(name.size() - 4, 4, "gate") == 0;
+      const bool bias = name.size() >= 4 &&
+                        name.compare(name.size() - 4, 4, "bias") == 0;
+      if (!gate && !bias) continue;
+      for (float& v : param.mutable_data()) v = 0.5f * rng.Normal();
+    }
+    const int dim = net.config().embedding_dim;
+    Tensor prompts = Tensor::Randn(kPrompts, dim, &rng);
+    Tensor queries = Tensor::Randn(kQueries, dim, &rng);
+    const int labelled = ways > 1 ? ways - 1 : 1;
+    std::vector<int> labels(kPrompts);
+    for (int p = 0; p < kPrompts; ++p) labels[p] = p % labelled;
+
+    const TaskGraphOutput with_grad =
+        net.Forward(prompts, labels, queries, ways);
+    NoGradGuard no_grad;
+    const TaskGraphOutput inference =
+        net.Forward(prompts, labels, queries, ways);
+    ASSERT_NE(inference.query_embeddings.data(), queries.data());
+    EXPECT_EQ(inference.query_scores.data(), with_grad.query_scores.data());
+    EXPECT_EQ(inference.query_embeddings.data(),
+              with_grad.query_embeddings.data());
+    EXPECT_EQ(inference.label_embeddings.data(),
+              with_grad.label_embeddings.data());
+  }
+}
+
 TEST(TaskGraphTest, MismatchedLabelSizeDies) {
   Rng rng(9);
   TaskGraphNet net(SmallConfig(4), &rng);

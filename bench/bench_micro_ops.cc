@@ -6,11 +6,12 @@
 // Beyond the google-benchmark cases, the binary always runs a headline
 // section that times the fused kernels (GatherScaleScatterMean,
 // LinearRelu, GatherLinearScaleScatterAdd) against the primitive-op chains
-// they replaced, measures the `av == 0` skip branch of the blocked GEMM on
-// dense vs one-hot inputs, and reports the buffer-pool hit rate on a
-// training-step workload. The headline numbers are written to
-// <outdir>/BENCH_micro_ops.json so the fused-kernel and allocator gains
-// stay pinned in the perf trajectory.
+// they replaced, times GNN_D's encode with the last layer over every union
+// row against the last layer at the readout rows only, measures the
+// `av == 0` skip branch of the blocked GEMM on dense vs one-hot inputs,
+// and reports the buffer-pool hit rate on a training-step workload. The
+// headline numbers are written to <outdir>/BENCH_micro_ops.json so the
+// fused-kernel and allocator gains stay pinned in the perf trajectory.
 //
 // Flags (in addition to google-benchmark's own --benchmark_* flags):
 //   --outdir=DIR        report directory (default "results")
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "core/lfu_cache.h"
 #include "core/task_graph.h"
 #include "data/datasets.h"
+#include "gnn/encoder.h"
 #include "graph/sampler.h"
 #include "nn/mlp.h"
 #include "obs/bench_report.h"
@@ -213,6 +216,62 @@ void BM_TaskGraphAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskGraphAggregate)->ArgNames({"fused"})->Arg(0)->Arg(1);
 
+// GNN_D's encode at the size of one 100-way, 10-candidate embed call: 1000
+// random FB15K-sim edge items packed into one union, 2-layer GraphSAGE,
+// random edge weights standing in for the reconstruction. The full path runs the
+// last layer over every union row and gathers the two centers of each
+// item; inference runs the last layer at the center rows only.
+struct EncodeFixture {
+  static constexpr int kItems = 1000;
+  std::unique_ptr<GnnEncoder> encoder;
+  Tensor x, w;
+  std::vector<int> src, dst, centers;
+
+  explicit EncodeFixture(uint64_t seed) {
+    const DatasetBundle ds = MakeFb15kSim(0.45, 15);
+    Rng rng(seed);
+    GnnEncoderConfig config;
+    config.in_dim = ds.graph.feature_dim();
+    encoder = std::make_unique<GnnEncoder>(config, &rng);
+    RandomWalkSampler sampler(&ds.graph, SamplerConfig());
+    std::vector<int> nodes;
+    for (int i = 0; i < kItems; ++i) {
+      const Subgraph sg = sampler.SampleAroundEdge(
+          static_cast<int>(rng.UniformInt(ds.graph.num_edges())), &rng);
+      const int offset = static_cast<int>(nodes.size());
+      nodes.insert(nodes.end(), sg.nodes.begin(), sg.nodes.end());
+      for (int e = 0; e < sg.num_edges(); ++e) {
+        src.push_back(sg.edge_src[e] + offset);
+        dst.push_back(sg.edge_dst[e] + offset);
+      }
+      for (int c : sg.center_local) centers.push_back(c + offset);
+    }
+    x = GatherRows(ds.graph.node_features(), nodes);
+    std::vector<float> weights(src.size());
+    for (float& v : weights) v = rng.UniformFloat();
+    w = Tensor::FromData(static_cast<int>(src.size()), 1, std::move(weights));
+  }
+};
+
+Tensor EncodeCenters(const EncodeFixture& f, bool rows_only) {
+  if (rows_only) {
+    return f.encoder->Forward(f.x, f.src, f.dst, f.w, &f.centers);
+  }
+  return GatherRows(f.encoder->Forward(f.x, f.src, f.dst, f.w), f.centers);
+}
+
+void BM_EncodeCenters(benchmark::State& state) {
+  const bool rows_only = state.range(0) == 1;
+  EncodeFixture f(43);
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    Tensor out = EncodeCenters(f, rows_only);
+    benchmark::DoNotOptimize(out.raw());
+  }
+  state.SetItemsProcessed(state.iterations() * EncodeFixture::kItems);
+}
+BENCHMARK(BM_EncodeCenters)->ArgNames({"rows_only"})->Arg(0)->Arg(1);
+
 // The `av == 0.0f` skip branch in the GEMM micro-kernel: near-free on
 // dense inputs, and a large win on the one-hot label matrices the task
 // graph multiplies (see internal::GemmAccumulate in tensor/ops.h).
@@ -367,6 +426,11 @@ double ReductionPct(double before_ms, double after_ms) {
   return before_ms > 0.0 ? 100.0 * (before_ms - after_ms) / before_ms : 0.0;
 }
 
+// Signed time change for the printed lines: negative is faster.
+double ChangePct(double before_ms, double after_ms) {
+  return before_ms > 0.0 ? 100.0 * (after_ms - before_ms) / before_ms : 0.0;
+}
+
 void RunHeadline(const std::string& outdir, int reps) {
   BenchReporter report("micro_ops");
   report.AddConfig("headline_reps", static_cast<int64_t>(reps));
@@ -393,9 +457,8 @@ void RunHeadline(const std::string& outdir, int reps) {
   report.AddMetric("mean_chain/fused_ms", mean_fused, "ms");
   report.AddMetric("mean_chain/reduction_pct",
                    ReductionPct(mean_unfused, mean_fused), "%");
-  std::printf("mean aggregation   unfused %.3f ms  fused %.3f ms  (-%.1f%%)\n",
-              mean_unfused, mean_fused,
-              ReductionPct(mean_unfused, mean_fused));
+  std::printf("mean aggregation   unfused %.3f ms  fused %.3f ms  (%+.1f%%)\n",
+              mean_unfused, mean_fused, ChangePct(mean_unfused, mean_fused));
 
   // Fused hidden-layer kernel.
   Rng rng(29);
@@ -414,8 +477,8 @@ void RunHeadline(const std::string& outdir, int reps) {
   report.AddMetric("linear_relu/fused_ms", lin_fused, "ms");
   report.AddMetric("linear_relu/reduction_pct",
                    ReductionPct(lin_unfused, lin_fused), "%");
-  std::printf("linear+relu        unfused %.3f ms  fused %.3f ms  (-%.1f%%)\n",
-              lin_unfused, lin_fused, ReductionPct(lin_unfused, lin_fused));
+  std::printf("linear+relu        unfused %.3f ms  fused %.3f ms  (%+.1f%%)\n",
+              lin_unfused, lin_fused, ChangePct(lin_unfused, lin_fused));
 
   // Task-graph message-and-aggregate at 100 ways: per-edge chain vs the
   // per-node fused kernel.
@@ -432,8 +495,25 @@ void RunHeadline(const std::string& outdir, int reps) {
   report.AddMetric("task_graph_aggregate/fused_ms", tg_fused, "ms");
   report.AddMetric("task_graph_aggregate/reduction_pct",
                    ReductionPct(tg_chain, tg_fused), "%");
-  std::printf("task-graph aggr.   chain %.3f ms  fused %.3f ms  (-%.1f%%)\n",
-              tg_chain, tg_fused, ReductionPct(tg_chain, tg_fused));
+  std::printf("task-graph aggr.   chain %.3f ms  fused %.3f ms  (%+.1f%%)\n",
+              tg_chain, tg_fused, ChangePct(tg_chain, tg_fused));
+
+  // GNN_D encode at 100 ways: last layer over every row vs the centers.
+  EncodeFixture enc(47);
+  const double enc_full = MedianMs(reps, [&] {
+    NoGradGuard no_grad;
+    benchmark::DoNotOptimize(EncodeCenters(enc, false));
+  });
+  const double enc_rows = MedianMs(reps, [&] {
+    NoGradGuard no_grad;
+    benchmark::DoNotOptimize(EncodeCenters(enc, true));
+  });
+  report.AddMetric("encode_centers/full_ms", enc_full, "ms");
+  report.AddMetric("encode_centers/rows_only_ms", enc_rows, "ms");
+  report.AddMetric("encode_centers/reduction_pct",
+                   ReductionPct(enc_full, enc_rows), "%");
+  std::printf("gnn_d encode       full %.3f ms  rows-only %.3f ms  (%+.1f%%)\n",
+              enc_full, enc_rows, ChangePct(enc_full, enc_rows));
 
   // GEMM skip branch: dense cost vs one-hot payoff.
   const int n = 256;
@@ -494,16 +574,14 @@ void RunHeadline(const std::string& outdir, int reps) {
                    ReductionPct(unpooled_ms, pooled_ms), "%");
   report.AddMetric("pool/hit_rate", hit_rate, "");
   std::printf(
-      "buffer pool        off %.3f ms  on %.3f ms  (-%.1f%%), hit rate "
+      "buffer pool        off %.3f ms  on %.3f ms  (%+.1f%%), hit rate "
       "%.3f\n",
-      unpooled_ms, pooled_ms, ReductionPct(unpooled_ms, pooled_ms),
+      unpooled_ms, pooled_ms, ChangePct(unpooled_ms, pooled_ms),
       hit_rate);
 
   const Status status = report.WriteJson(outdir);
   if (!status.ok()) {
     std::fprintf(stderr, "warning: %s\n", status.ToString().c_str());
-  } else {
-    std::printf("wrote %s/BENCH_micro_ops.json\n", outdir.c_str());
   }
 }
 

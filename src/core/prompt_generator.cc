@@ -103,12 +103,12 @@ Tensor PromptGenerator::EdgeWeightsFor(const Tensor& features,
 Tensor PromptGenerator::ReconstructEdgeWeights(const Graph& graph,
                                                const Subgraph& sg) const {
   if (sg.edge_src.empty()) return Tensor::Zeros(0, 1);
-  Tensor features = GatherRows(graph.node_features(), sg.nodes);
   if (!config_.use_reconstruction) {
     // Shared read-only ones column; avoids a fresh allocation per subgraph.
     return CachedOnesColumn(sg.num_edges());
   }
   GP_TRACE_SPAN("generator/reconstruct");
+  Tensor features = GatherRows(graph.node_features(), sg.nodes);
   return EdgeWeightsFor(features, sg.edge_src, sg.edge_dst);
 }
 
@@ -206,15 +206,23 @@ Tensor PromptGenerator::EncodeUnion(Tensor features,
       edge_weight = EdgeWeightsFor(features, union_src, union_dst);
     }
   }
-  Tensor node_embeddings;
+  // Readout: mean of each subgraph's center-node embeddings. Inference
+  // runs GNN_D's last layer at the center rows only (bitwise equal to
+  // gathering them from the full output; see gnn/output_rows.h). Under
+  // autograd the full layer and the gather are kept, so the gradient tape
+  // keeps its order and its zero-gradient rows.
+  Tensor centers;
   {
     GP_TRACE_SPAN("generator/encode");
-    node_embeddings =
-        encoder_->Forward(features, union_src, union_dst, edge_weight);
+    if (!GradEnabled()) {
+      centers = encoder_->Forward(features, union_src, union_dst, edge_weight,
+                                  &center_rows);
+    } else {
+      centers = GatherRows(
+          encoder_->Forward(features, union_src, union_dst, edge_weight),
+          center_rows);
+    }
   }
-
-  // Readout: mean of each subgraph's center-node embeddings.
-  Tensor centers = GatherRows(node_embeddings, center_rows);
   return SegmentMeanRows(centers, center_segment, num_subgraphs);
 }
 

@@ -98,6 +98,7 @@ class PromptGenerator : public Module {
   // per-occurrence computation because row results of Linear/Mlp are
   // independent of which other rows share the matrix; skipped under
   // autograd, where the reordered gradient accumulation would not be.
+  // Inference likewise runs GNN_D's last layer at `center_rows` only.
   Tensor EncodeUnion(Tensor features, const std::vector<int>& union_nodes,
                      const std::vector<int>& union_src,
                      const std::vector<int>& union_dst,

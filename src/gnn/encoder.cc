@@ -44,34 +44,30 @@ GnnEncoder::GnnEncoder(const GnnEncoderConfig& config, Rng* rng)
 Tensor GnnEncoder::ApplyLayer(int layer, const Tensor& x,
                               const std::vector<int>& src,
                               const std::vector<int>& dst,
-                              const Tensor& edge_weight) const {
+                              const Tensor& edge_weight,
+                              const std::vector<int>* rows) const {
   switch (config_.arch) {
     case GnnArch::kSage:
-      return sage_layers_[layer]->Forward(x, src, dst, edge_weight);
+      return sage_layers_[layer]->Forward(x, src, dst, edge_weight, rows);
     case GnnArch::kGcn:
-      return gcn_layers_[layer]->Forward(x, src, dst, edge_weight);
+      return gcn_layers_[layer]->Forward(x, src, dst, edge_weight, rows);
     case GnnArch::kGat:
-      return gat_layers_[layer]->Forward(x, src, dst, edge_weight);
+      return gat_layers_[layer]->Forward(x, src, dst, edge_weight, rows);
   }
   return x;
 }
 
 Tensor GnnEncoder::Forward(const Tensor& x, const std::vector<int>& src,
                            const std::vector<int>& dst,
-                           const Tensor& edge_weight) const {
+                           const Tensor& edge_weight,
+                           const std::vector<int>* rows) const {
   Tensor h = x;
   for (int i = 0; i < config_.num_layers; ++i) {
-    h = ApplyLayer(i, h, src, dst, edge_weight);
-    if (i + 1 < config_.num_layers) h = Relu(h);
+    const bool last = i + 1 == config_.num_layers;
+    h = ApplyLayer(i, h, src, dst, edge_weight, last ? rows : nullptr);
+    if (!last) h = Relu(h);
   }
   return h;
-}
-
-Tensor GnnEncoder::Readout(const Subgraph& subgraph,
-                           const Tensor& node_embeddings) const {
-  CHECK(!subgraph.center_local.empty());
-  Tensor centers = GatherRows(node_embeddings, subgraph.center_local);
-  return MeanRows(centers);
 }
 
 }  // namespace gp

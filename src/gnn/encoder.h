@@ -1,6 +1,5 @@
-// GnnEncoder: a configurable stack of message-passing layers producing node
-// embeddings, plus the subgraph readout that yields the data-graph embedding
-// G_i of Eq. 4.
+// GnnEncoder: a configurable stack of message-passing layers producing the
+// node embeddings that the data-graph embedding G_i of Eq. 4 reads out.
 
 #ifndef GRAPHPROMPTER_GNN_ENCODER_H_
 #define GRAPHPROMPTER_GNN_ENCODER_H_
@@ -12,7 +11,6 @@
 #include "gnn/gat_conv.h"
 #include "gnn/gcn_conv.h"
 #include "gnn/sage_conv.h"
-#include "graph/sampler.h"
 #include "nn/module.h"
 
 namespace gp {
@@ -37,21 +35,19 @@ class GnnEncoder : public Module {
  public:
   GnnEncoder(const GnnEncoderConfig& config, Rng* rng);
 
-  // Returns per-node embeddings (N x out_dim).
+  // Returns per-node embeddings (N x out_dim), or, when `rows` is set, one
+  // row per listed node, bitwise equal to those rows of the full output.
+  // Only the last layer is restricted: every earlier layer's rows feed it.
   Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
-
-  // Readout: mean of the center-node embeddings -> a single (1 x out_dim)
-  // subgraph embedding. For node inputs this is the center node; for edge
-  // inputs the mean of head and tail.
-  Tensor Readout(const Subgraph& subgraph, const Tensor& node_embeddings) const;
+                 const std::vector<int>& dst, const Tensor& edge_weight,
+                 const std::vector<int>* rows = nullptr) const;
 
   const GnnEncoderConfig& config() const { return config_; }
 
  private:
   Tensor ApplyLayer(int layer, const Tensor& x, const std::vector<int>& src,
-                    const std::vector<int>& dst,
-                    const Tensor& edge_weight) const;
+                    const std::vector<int>& dst, const Tensor& edge_weight,
+                    const std::vector<int>* rows) const;
 
   GnnEncoderConfig config_;
   std::vector<std::unique_ptr<SageConv>> sage_layers_;

@@ -1,5 +1,6 @@
 #include "gnn/gat_conv.h"
 
+#include "gnn/output_rows.h"
 #include "tensor/ops.h"
 
 namespace gp {
@@ -14,25 +15,29 @@ GatConv::GatConv(int in_dim, int out_dim, Rng* rng, float negative_slope)
 
 Tensor GatConv::Forward(const Tensor& x, const std::vector<int>& src,
                         const std::vector<int>& dst,
-                        const Tensor& edge_weight) const {
-  CHECK_EQ(src.size(), dst.size());
-  const int num_nodes = x.rows();
+                        const Tensor& edge_weight,
+                        const std::vector<int>* rows) const {
+  const OutputRows out_rows(src, dst, x.rows(), rows);
   Tensor h = linear_->Forward(x);
-  if (src.empty()) return h;
+  Tensor h_out = out_rows.Rows(h);
+  if (src.empty()) return h_out;
 
   // Per-node attention scores, then per-edge logits.
-  Tensor score_src = MatMul(h, attn_src_);  // (N x 1)
-  Tensor score_dst = MatMul(h, attn_dst_);  // (N x 1)
+  const std::vector<int>& kept_src = out_rows.src();
+  const std::vector<int>& kept_dst = out_rows.dst();
+  Tensor score_src = MatMul(h, attn_src_);      // (N x 1)
+  Tensor score_dst = MatMul(h_out, attn_dst_);  // (rows x 1)
   Tensor logits = LeakyRelu(
-      Add(GatherRows(score_src, src), GatherRows(score_dst, dst)),
+      Add(GatherRows(score_src, kept_src), GatherRows(score_dst, kept_dst)),
       negative_slope_);
   // Softmax over each destination node's incoming edges.
-  Tensor alpha = SegmentSoftmax(logits, dst, num_nodes);
+  Tensor alpha = SegmentSoftmax(logits, kept_dst, out_rows.size());
   if (edge_weight.defined()) {
     CHECK_EQ(edge_weight.rows(), static_cast<int>(src.size()));
-    alpha = Mul(alpha, edge_weight);
+    alpha = Mul(alpha, out_rows.Edges(edge_weight));
   }
-  return Add(h, GatherScaleScatterSum(h, src, dst, num_nodes, alpha));
+  return Add(h_out, GatherScaleScatterSum(h, kept_src, kept_dst,
+                                          out_rows.size(), alpha));
 }
 
 }  // namespace gp

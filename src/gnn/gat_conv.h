@@ -22,8 +22,12 @@ class GatConv : public Module {
  public:
   GatConv(int in_dim, int out_dim, Rng* rng, float negative_slope = 0.2f);
 
+  // Returns (N x out), or, when `rows` is set, one row per listed node
+  // (see gnn/output_rows.h). The Linear still runs on every node: the
+  // kept edges' sources need it.
   Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+                 const std::vector<int>& dst, const Tensor& edge_weight,
+                 const std::vector<int>* rows = nullptr) const;
 
   int in_dim() const { return linear_->in_features(); }
   int out_dim() const { return linear_->out_features(); }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "gnn/output_rows.h"
 #include "tensor/ops.h"
 
 namespace gp {
@@ -13,31 +14,41 @@ GcnConv::GcnConv(int in_dim, int out_dim, Rng* rng) {
 
 Tensor GcnConv::Forward(const Tensor& x, const std::vector<int>& src,
                         const std::vector<int>& dst,
-                        const Tensor& edge_weight) const {
-  CHECK_EQ(src.size(), dst.size());
+                        const Tensor& edge_weight,
+                        const std::vector<int>* rows) const {
   const int num_nodes = x.rows();
+  const OutputRows out_rows(src, dst, num_nodes, rows);
 
   // Degrees (+1 for the implicit self loop); constants w.r.t. autograd.
   std::vector<float> degree(num_nodes, 1.0f);
   for (int d : dst) degree[d] += 1.0f;
 
   // Self term: x_i / (d_i + 1).
-  std::vector<float> self_coeff(num_nodes);
-  for (int i = 0; i < num_nodes; ++i) self_coeff[i] = 1.0f / degree[i];
-  Tensor agg = RowScale(x, Tensor::FromData(num_nodes, 1, self_coeff));
+  std::vector<float> self_coeff(out_rows.size());
+  for (int r = 0; r < out_rows.size(); ++r) {
+    self_coeff[r] = 1.0f / degree[out_rows.node(r)];
+  }
+  Tensor agg = RowScale(out_rows.Rows(x),
+                        Tensor::FromData(out_rows.size(), 1, self_coeff));
 
   if (!src.empty()) {
-    const int num_edges = static_cast<int>(src.size());
+    if (edge_weight.defined()) {
+      CHECK_EQ(edge_weight.rows(), static_cast<int>(src.size()));
+    }
+    const std::vector<int>& kept_src = out_rows.src();
+    const std::vector<int>& kept_dst = out_rows.dst();
+    const int num_edges = static_cast<int>(kept_src.size());
     std::vector<float> norm(num_edges);
     for (int e = 0; e < num_edges; ++e) {
-      norm[e] = 1.0f / std::sqrt(degree[src[e]] * degree[dst[e]]);
+      norm[e] = 1.0f / std::sqrt(degree[kept_src[e]] *
+                                 degree[out_rows.node(kept_dst[e])]);
     }
     Tensor coeff = Tensor::FromData(num_edges, 1, std::move(norm));
     if (edge_weight.defined()) {
-      CHECK_EQ(edge_weight.rows(), num_edges);
-      coeff = Mul(edge_weight, coeff);
+      coeff = Mul(out_rows.Edges(edge_weight), coeff);
     }
-    agg = Add(agg, GatherScaleScatterSum(x, src, dst, num_nodes, coeff));
+    agg = Add(agg, GatherScaleScatterSum(x, kept_src, kept_dst,
+                                         out_rows.size(), coeff));
   }
   return linear_->Forward(agg);
 }

@@ -17,8 +17,11 @@ class GcnConv : public Module {
  public:
   GcnConv(int in_dim, int out_dim, Rng* rng);
 
+  // Returns (N x out), or, when `rows` is set, one row per listed node
+  // (see gnn/output_rows.h); degrees always come from the full edge list.
   Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+                 const std::vector<int>& dst, const Tensor& edge_weight,
+                 const std::vector<int>* rows = nullptr) const;
 
   int in_dim() const { return linear_->in_features(); }
   int out_dim() const { return linear_->out_features(); }

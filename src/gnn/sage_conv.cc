@@ -1,5 +1,6 @@
 #include "gnn/sage_conv.h"
 
+#include "gnn/output_rows.h"
 #include "tensor/ops.h"
 
 namespace gp {
@@ -14,10 +15,10 @@ SageConv::SageConv(int in_dim, int out_dim, Rng* rng) {
 
 Tensor SageConv::Forward(const Tensor& x, const std::vector<int>& src,
                          const std::vector<int>& dst,
-                         const Tensor& edge_weight) const {
-  CHECK_EQ(src.size(), dst.size());
-  const int num_nodes = x.rows();
-  Tensor out = self_->Forward(x);
+                         const Tensor& edge_weight,
+                         const std::vector<int>* rows) const {
+  const OutputRows out_rows(src, dst, x.rows(), rows);
+  Tensor out = self_->Forward(out_rows.Rows(x));
   if (src.empty()) return out;
 
   if (edge_weight.defined()) {
@@ -27,8 +28,9 @@ Tensor SageConv::Forward(const Tensor& x, const std::vector<int>& src,
   // Weighted mean over incoming messages, in one fused kernel (no
   // per-edge message matrix or ones column is materialised); epsilon
   // guards isolated nodes / all-zero weights.
-  Tensor mean =
-      GatherScaleScatterMean(x, src, dst, num_nodes, edge_weight, 1e-6f);
+  Tensor mean = GatherScaleScatterMean(x, out_rows.src(), out_rows.dst(),
+                                       out_rows.size(),
+                                       out_rows.Edges(edge_weight), 1e-6f);
   return Add(out, neighbor_->Forward(mean));
 }
 

@@ -23,9 +23,12 @@ class SageConv : public Module {
   SageConv(int in_dim, int out_dim, Rng* rng);
 
   // x: (N x in). src/dst: directed edges j -> i (message flows src to dst).
-  // edge_weight: (E x 1) or undefined.
+  // edge_weight: (E x 1) or undefined. Returns (N x out), or, when `rows`
+  // is set, one row per listed node (see gnn/output_rows.h), bitwise equal
+  // to those rows of the full output.
   Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+                 const std::vector<int>& dst, const Tensor& edge_weight,
+                 const std::vector<int>* rows = nullptr) const;
 
   int in_dim() const { return self_->in_features(); }
   int out_dim() const { return self_->out_features(); }

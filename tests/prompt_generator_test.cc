@@ -1,5 +1,8 @@
 #include "core/prompt_generator.h"
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "tensor/autograd.h"
@@ -151,6 +154,49 @@ TEST_F(PromptGeneratorTest, BilinearReconstructionVariant) {
     }
   }
   EXPECT_TRUE(any_grad);
+}
+
+// Inference encodes GNN_D's last layer at the center rows only; autograd
+// runs it over every union row and gathers the centers. Both must give the
+// same bits, over a union of edge items (two centers each), a node item
+// and a self-loop edge (one center listed twice).
+TEST_F(PromptGeneratorTest, InferenceEmbeddingMatchesAutogradBitwise) {
+  DatasetBundle kg = MakeConceptNetSim(0.2, 11);
+  for (GnnArch arch : {GnnArch::kSage, GnnArch::kGcn, GnnArch::kGat}) {
+    for (bool reconstruct : {true, false}) {
+      SCOPED_TRACE(std::string(GnnArchName(arch)) +
+                   (reconstruct ? " reconstruction" : " unit weights"));
+      auto config = SmallConfig(kg.graph.feature_dim());
+      config.gnn.arch = arch;
+      config.use_reconstruction = reconstruct;
+      Rng rng(40);
+      PromptGenerator generator(config, &rng);
+      Rng sample_rng(41);
+      std::vector<Subgraph> subgraphs;
+      for (int c = 0; c < 4; ++c) {
+        subgraphs.push_back(generator.SampleForItem(
+            kg, kg.train_items_by_class[c][0], &sample_rng));
+      }
+      const int loop_node = kg.graph.edge(kg.train_items_by_class[0][0]).src;
+      subgraphs.push_back(RandomWalkSampler(&kg.graph, config.sampler)
+                              .SampleAroundNodes({loop_node, loop_node},
+                                                 &sample_rng));
+      ASSERT_EQ(subgraphs.back().center_local.size(), 2u);
+      EXPECT_EQ(subgraphs.back().center_local[0],
+                subgraphs.back().center_local[1]);
+      subgraphs.push_back(generator.SampleForNode(kg.graph, 7, &sample_rng));
+
+      Tensor autograd = generator.EmbedSubgraphs(kg.graph, subgraphs);
+      ASSERT_TRUE(autograd.requires_grad());
+      NoGradGuard no_grad;
+      Tensor inference = generator.EmbedSubgraphs(kg.graph, subgraphs);
+      ASSERT_EQ(inference.rows(), static_cast<int>(subgraphs.size()));
+      ASSERT_EQ(inference.cols(), autograd.cols());
+      EXPECT_EQ(std::memcmp(inference.data().data(), autograd.data().data(),
+                            autograd.data().size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST_F(PromptGeneratorTest, ReconArchNames) {

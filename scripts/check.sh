@@ -109,8 +109,10 @@ fi
 
 # `index` rides along so the sanitizers cover the quantized candidate
 # pass (uint8 code arithmetic, sidecar insert/erase bookkeeping); `store`
-# puts the mmap shard readers and the streaming sampler under ASan/UBSan.
-label_args=(-L 'robustness|fuzz|index|store')
+# puts the mmap shard readers and the streaming sampler under ASan/UBSan;
+# `pipeline` covers the trial-ahead prepare (stages 1-2 on the pipeline
+# worker) in pipeline_determinism_test.
+label_args=(-L 'robustness|fuzz|index|store|pipeline')
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()
 fi

@@ -1,37 +1,41 @@
-// Cross-request batched evaluation — the serving micro-batcher's core
-// entry point.
+// The evaluation core: cross-request batched evaluation, and the home of
+// EvaluateInContext (declared in core/graph_prompter.h).
 //
-// `BatchEvaluation` packs N independent `EvaluateInContext` calls so the
-// expensive shared stages run once per batch instead of once per request:
-// one disjoint-union subgraph encode (stage 1) over every request's
-// candidate and query subgraphs, one stacked selection-layer importance
-// pass, and one fused kNN scoring sweep (stage 2) across every request's
-// queries. Stage 3 (task-graph prediction) is consumed per request via
-// FinishRequest so the serving daemon can interleave per-tenant state
-// (circuit breaker, shared augmenter cache) between requests exactly as
-// the one-at-a-time path does; within a request, all query steps of all
-// trials stack into one TaskGraphNet::ForwardBatch call whenever the
-// augmenter stage is inactive (the augmenter's cache mutates between
-// steps, which forces the serial step loop).
+// The unit of evaluation is one (request, trial) pair. One prepare body
+// runs stages 1-2 packed over any number of units: the episode sample and
+// subgraph walks (each unit on its own forked RNG), one disjoint-union
+// encode over every unit's candidate and query subgraphs, quarantine and
+// sanitize, one stacked selection-layer importance pass, the selection
+// ladder with one fused kNN sweep (SelectPromptsBatch), and prompt-set
+// hygiene. One finish body runs stage 3 (the augmenter step loop and the
+// task-graph prediction) for one request's units in trial order.
 //
-// Determinism contract (pinned by tests/serve_batch_test.cc): every
-// request's EvalResult is bitwise identical to a standalone
-// EvaluateInContext with the same EvalConfig — accuracy bit patterns,
-// trial accuracies, degradation counters, deadline flags, predictions.
-// Wall-clock fields (ms_per_query) and deadline *cut points* under an
-// actively-expiring deadline are timing and excluded. The per-trial RNG
-// draw order is preserved by forking each request's trial RNGs from its
-// master seed upfront (the master is used for nothing else) and keeping
-// every draw inside the trial's own stream: episode sample, per-subgraph
-// walks, selection draws, the unconditional augmenter seed, prediction
-// fallbacks.
+//   EvaluateInContext  prepares one trial at a time on the stage pipeline,
+//                      one trial ahead (DESIGN.md §13), and finishes trials
+//                      in order.
+//   BatchEvaluation    Prepare() prepares every unit of every request at
+//                      once; FinishRequest(i) finishes request i, so the
+//                      serving daemon can interleave per-tenant state
+//                      (circuit breaker, shared augmenter cache) between
+//                      requests exactly as the one-at-a-time path does.
+//
+// Determinism contract (pinned by tests/serve_batch_test.cc and
+// tests/golden_eval_test.cc): every request's EvalResult is bitwise
+// identical to a standalone EvaluateInContext with the same EvalConfig —
+// accuracy bit patterns, trial accuracies, degradation counters, deadline
+// flags, predictions. Every packed kernel is row- or unit-independent, and
+// each trial's draws stay on its own RNG stream in one order: episode
+// sample, candidate walks, query walks, selection draws, the unconditional
+// augmenter seed, prediction fallbacks. Wall-clock fields (ms_per_query)
+// and deadline *cut points* under an actively-expiring deadline are
+// timing and excluded.
 //
 // Fault injection is order-dependent (a shared injector draws once per
-// probe site, so interleaving requests would reshuffle its stream): when
-// a fault injector is active at Prepare() time the whole batch falls back
-// to per-request EvaluateInContext inside FinishRequest, bit-identical by
-// construction. The serving batcher never batches fault-carrying
-// requests, so the fast path stays hot in production.
+// probe site, so packing trials would reshuffle its stream): when a fault
+// injector is active at Prepare() time, FinishRequest evaluates its request
+// with EvaluateInContext, which keeps each trial's prepare-then-finish
+// order of draws. The serving batcher never batches fault-carrying
+// requests, so the packed path stays hot in production.
 
 #ifndef GRAPHPROMPTER_CORE_BATCH_EVAL_H_
 #define GRAPHPROMPTER_CORE_BATCH_EVAL_H_
@@ -73,7 +77,7 @@ class BatchEvaluation {
   // internally.
   void Prepare();
 
-  // Consumes request `i`: stage 3, prediction, metrics assembly. Call
+  // Finishes request `i`: stage 3, prediction, metrics assembly. Call
   // exactly once per request after Prepare(); calls must be externally
   // serialized (the daemon's batch worker is single-threaded per batch)
   // and must run under the same fault-injector scope as Prepare().
@@ -87,7 +91,7 @@ class BatchEvaluation {
   std::vector<EvalConfig> configs_;
   std::vector<std::unique_ptr<RequestState>> requests_;
   bool prepared_ = false;
-  bool serial_fallback_ = false;
+  bool per_request_ = false;  // an injector was active at Prepare()
 };
 
 // Convenience wrapper: Prepare + FinishRequest for every config in order,

@@ -101,10 +101,11 @@ struct EvalConfig {
   // bitwise identical to the pre-serving pipeline.
 
   // Wall-clock budget for the whole call, in microseconds; 0 disables the
-  // deadline. Checked at stage boundaries (trial start, after candidate
-  // embedding, after selection, per query batch): on expiry the evaluation
-  // stops early, sets EvalResult::deadline_expired, and reports only the
-  // trials that finished.
+  // deadline. Checked at stage boundaries (trial start, between the
+  // candidate and query subgraph walks, at stage-2 entry before
+  // quarantine, after selection, per query batch): on expiry the
+  // evaluation stops early, sets EvalResult::deadline_expired, and reports
+  // only the trials that finished.
   int64_t deadline_us = 0;
   // Skips the augmenter stage regardless of the model config. The serving
   // circuit breaker uses this as its safe degraded mode while open.
@@ -151,6 +152,9 @@ struct EvalResult {
 // FaultInjector (util/fault.h) is configured, faults are injected at each
 // of these sites; with injection off, results are bitwise identical to the
 // unvalidated pipeline.
+//
+// Defined in core/batch_eval.cc, the one evaluation core it shares with
+// the packed BatchEvaluation (core/batch_eval.h).
 EvalResult EvaluateInContext(const GraphPrompterModel& model,
                              const DatasetBundle& dataset,
                              const EvalConfig& eval_config);

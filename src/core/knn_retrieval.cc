@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "core/kmeans.h"
 #include "obs/telemetry.h"
@@ -12,6 +13,97 @@
 #include "util/parallel.h"
 
 namespace gp {
+
+namespace {
+
+// Eq. 7 score of candidate p against query q:
+//     score(p, q) = sim(G_p, G_q) + I_p * I_q,
+// with the cosine norms hoisted out of the O(P*Q) loop. One scorer serves
+// the exact, IVF and fused batch paths, so they differ only in *which*
+// pairs they score, never in a value.
+class PairScorer {
+ public:
+  PairScorer(const Tensor& prompt_embeddings, const Tensor& prompt_importance,
+             const Tensor& query_embeddings, const Tensor& query_importance,
+             const KnnConfig& config)
+      : use_similarity_(config.use_similarity),
+        metric_(config.metric),
+        dim_(prompt_embeddings.cols()),
+        pdata_(prompt_embeddings.data().data()),
+        qdata_(query_embeddings.data().data()) {
+    if (config.use_importance && prompt_importance.defined() &&
+        query_importance.defined()) {
+      pimp_ = prompt_importance.data().data();
+      qimp_ = query_importance.data().data();
+    }
+    if (use_similarity_ && metric_ == DistanceMetric::kCosine) {
+      prompt_norm_ = RowNorms(prompt_embeddings);
+      query_norm_ = RowNorms(query_embeddings);
+    }
+  }
+
+  int dim() const { return dim_; }
+  const float* query_row(int64_t q) const {
+    return qdata_ + static_cast<size_t>(q) * dim_;
+  }
+
+  double operator()(int p, int64_t q, const float* qrow) const {
+    double score = 0.0;
+    if (use_similarity_) {
+      const float* prow = pdata_ + static_cast<size_t>(p) * dim_;
+      switch (metric_) {
+        case DistanceMetric::kCosine:
+          score += CosineFromParts(DotRaw(prow, qrow, dim_), prompt_norm_[p],
+                                   query_norm_[q]);
+          break;
+        case DistanceMetric::kEuclidean:
+          score += NegEuclideanRaw(prow, qrow, dim_);
+          break;
+        case DistanceMetric::kManhattan:
+          score += NegManhattanRaw(prow, qrow, dim_);
+          break;
+      }
+    }
+    if (pimp_ != nullptr) {
+      score += static_cast<double>(pimp_[p]) * qimp_[q];
+    }
+    return score;
+  }
+
+ private:
+  bool use_similarity_;
+  DistanceMetric metric_;
+  int dim_;
+  const float* pdata_;
+  const float* qdata_;
+  const float* pimp_ = nullptr;
+  const float* qimp_ = nullptr;
+  std::vector<double> prompt_norm_, query_norm_;
+};
+
+// Keeps the k most-voted candidates of every class, so the refined set
+// S-hat still covers all m classes with k shots each. Stable tie-break on
+// candidate index keeps the fallback (all-zero votes) deterministic.
+void KeepPerClass(const std::vector<int>& prompt_labels, int num_classes,
+                  int shots, KnnSelection* out) {
+  const int num_prompts = static_cast<int>(prompt_labels.size());
+  for (int cls = 0; cls < num_classes; ++cls) {
+    std::vector<int> members;
+    for (int p = 0; p < num_prompts; ++p) {
+      if (prompt_labels[p] == cls) members.push_back(p);
+    }
+    std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
+      const bool voted_a = out->hit_counts[a] > 0;
+      const bool voted_b = out->hit_counts[b] > 0;
+      if (voted_a != voted_b) return voted_a;
+      return out->votes[a] > out->votes[b];
+    });
+    const int keep = std::min<int>(shots, members.size());
+    for (int i = 0; i < keep; ++i) out->selected.push_back(members[i]);
+  }
+}
+
+}  // namespace
 
 KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
                            const Tensor& prompt_importance,
@@ -32,52 +124,9 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
   out.hit_counts.assign(num_prompts, 0);
 
   if ((config.use_similarity || config.use_importance) && num_prompts > 0) {
-    const int dim = prompt_embeddings.cols();
-    const float* pdata = prompt_embeddings.data().data();
-    const float* qdata = query_embeddings.data().data();
-    const bool with_importance = config.use_importance &&
-                                 prompt_importance.defined() &&
-                                 query_importance.defined();
-    const float* pimp =
-        with_importance ? prompt_importance.data().data() : nullptr;
-    const float* qimp =
-        with_importance ? query_importance.data().data() : nullptr;
-
-    // Cosine norms are shared across all pairs; hoist them out of the
-    // O(P*Q) loop.
-    std::vector<double> prompt_norm, query_norm;
-    const bool cosine =
-        config.use_similarity && config.metric == DistanceMetric::kCosine;
-    if (cosine) {
-      prompt_norm = RowNorms(prompt_embeddings);
-      query_norm = RowNorms(query_embeddings);
-    }
-
-    // Eq. 7 score of candidate p against query q, with the cosine norms
-    // hoisted. Scores candidates the same way on both the exact and IVF
-    // paths, so pruning changes *which* pairs are scored, never the value.
-    auto score_pair = [&](int p, int64_t q, const float* qrow) {
-      double score = 0.0;
-      if (config.use_similarity) {
-        const float* prow = pdata + static_cast<size_t>(p) * dim;
-        switch (config.metric) {
-          case DistanceMetric::kCosine:
-            score += CosineFromParts(DotRaw(prow, qrow, dim), prompt_norm[p],
-                                     query_norm[q]);
-            break;
-          case DistanceMetric::kEuclidean:
-            score += NegEuclideanRaw(prow, qrow, dim);
-            break;
-          case DistanceMetric::kManhattan:
-            score += NegManhattanRaw(prow, qrow, dim);
-            break;
-        }
-      }
-      if (with_importance) {
-        score += static_cast<double>(pimp[p]) * qimp[q];
-      }
-      return score;
-    };
+    const PairScorer score_pair(prompt_embeddings, prompt_importance,
+                                query_embeddings, query_importance, config);
+    const int dim = score_pair.dim();
 
     // IVF sharding only pays off when the similarity term routes queries;
     // importance-only scoring (ablation "w/o kNN") has no geometry to
@@ -107,7 +156,7 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
     ParallelFor(0, num_queries, grain, [&](int64_t qfirst, int64_t qlast) {
       std::vector<std::pair<double, int>> scored(num_prompts);
       for (int64_t q = qfirst; q < qlast; ++q) {
-        const float* qrow = qdata + static_cast<size_t>(q) * dim;
+        const float* qrow = score_pair.query_row(q);
         if (!ivf) {
           for (int p = 0; p < num_prompts; ++p) {
             scored[p] = {score_pair(p, q, qrow), p};
@@ -203,23 +252,7 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
     pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
   }
 
-  // Keep the k most-voted candidates of every class, so the refined set
-  // S-hat still covers all m classes with k shots each. Stable tie-break
-  // on candidate index keeps the fallback (all-zero votes) deterministic.
-  for (int cls = 0; cls < num_classes; ++cls) {
-    std::vector<int> members;
-    for (int p = 0; p < num_prompts; ++p) {
-      if (prompt_labels[p] == cls) members.push_back(p);
-    }
-    std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-      const bool voted_a = out.hit_counts[a] > 0;
-      const bool voted_b = out.hit_counts[b] > 0;
-      if (voted_a != voted_b) return voted_a;
-      return out.votes[a] > out.votes[b];
-    });
-    const int keep = std::min<int>(config.shots, members.size());
-    for (int i = 0; i < keep; ++i) out.selected.push_back(members[i]);
-  }
+  KeepPerClass(prompt_labels, num_classes, config.shots, &out);
   return out;
 }
 
@@ -242,17 +275,10 @@ std::vector<KnnSelection> SelectPromptsBatch(
   // per-class keep; units whose index shards (IVF) delegate to
   // SelectPrompts — the fused pass reproduces only the exact path.
   struct UnitCtx {
-    bool fused = false;
     bool delegated = false;
-    bool with_importance = false;
-    const float* pdata = nullptr;
-    const float* qdata = nullptr;
-    const float* pimp = nullptr;
-    const float* qimp = nullptr;
-    int dim = 0;
+    std::optional<PairScorer> score_pair;  // set for fused units
     int num_prompts = 0;
     int k = 0;
-    std::vector<double> prompt_norm, query_norm;
     std::vector<std::vector<std::pair<double, int>>> topk;
   };
   std::vector<UnitCtx> ctx(units.size());
@@ -286,36 +312,24 @@ std::vector<KnnSelection> SelectPromptsBatch(
     }
     pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
     UnitCtx& c = ctx[u];
-    c.fused = true;
-    c.dim = unit.prompt_embeddings->cols();
+    c.score_pair.emplace(*unit.prompt_embeddings, *unit.prompt_importance,
+                         *unit.query_embeddings, *unit.query_importance,
+                         config);
     c.num_prompts = num_prompts;
     c.k = std::min(config.shots, num_prompts);
-    c.pdata = unit.prompt_embeddings->data().data();
-    c.qdata = unit.query_embeddings->data().data();
-    c.with_importance = config.use_importance &&
-                        unit.prompt_importance->defined() &&
-                        unit.query_importance->defined();
-    if (c.with_importance) {
-      c.pimp = unit.prompt_importance->data().data();
-      c.qimp = unit.query_importance->data().data();
-    }
-    if (config.use_similarity && config.metric == DistanceMetric::kCosine) {
-      c.prompt_norm = RowNorms(*unit.prompt_embeddings);
-      c.query_norm = RowNorms(*unit.query_embeddings);
-    }
     c.topk.resize(num_queries);
     for (int q = 0; q < num_queries; ++q) {
       flat_unit.push_back(static_cast<int>(u));
       flat_query.push_back(q);
     }
-    max_work_per_query = std::max(
-        max_work_per_query, static_cast<int64_t>(num_prompts) * c.dim);
+    max_work_per_query =
+        std::max(max_work_per_query,
+                 static_cast<int64_t>(num_prompts) * c.score_pair->dim());
   }
 
-  // Same Eq. 7 per-pair arithmetic and per-query top-k as the exact path in
-  // SelectPrompts; queries write only their own topk slot, so the fused
-  // ParallelFor is bitwise independent of chunking and of which other
-  // units share the pass.
+  // Same per-query top-k as the exact path in SelectPrompts; queries write
+  // only their own topk slot, so the fused ParallelFor is bitwise
+  // independent of chunking and of which other units share the pass.
   const int64_t grain =
       std::max<int64_t>(1, (int64_t{1} << 15) / max_work_per_query);
   ParallelFor(
@@ -323,71 +337,33 @@ std::vector<KnnSelection> SelectPromptsBatch(
       [&](int64_t first, int64_t last) {
         std::vector<std::pair<double, int>> scored;
         for (int64_t f = first; f < last; ++f) {
-          const int u = flat_unit[f];
+          UnitCtx& c = ctx[flat_unit[f]];
           const int q = flat_query[f];
-          const UnitCtx& c = ctx[u];
-          const KnnConfig& config = units[u].config;
-          const float* qrow = c.qdata + static_cast<size_t>(q) * c.dim;
+          const float* qrow = c.score_pair->query_row(q);
           scored.resize(c.num_prompts);
           for (int p = 0; p < c.num_prompts; ++p) {
-            double score = 0.0;
-            if (config.use_similarity) {
-              const float* prow = c.pdata + static_cast<size_t>(p) * c.dim;
-              switch (config.metric) {
-                case DistanceMetric::kCosine:
-                  score += CosineFromParts(DotRaw(prow, qrow, c.dim),
-                                           c.prompt_norm[p], c.query_norm[q]);
-                  break;
-                case DistanceMetric::kEuclidean:
-                  score += NegEuclideanRaw(prow, qrow, c.dim);
-                  break;
-                case DistanceMetric::kManhattan:
-                  score += NegManhattanRaw(prow, qrow, c.dim);
-                  break;
-              }
-            }
-            if (c.with_importance) {
-              score += static_cast<double>(c.pimp[p]) * c.qimp[q];
-            }
-            scored[p] = {score, p};
+            scored[p] = {(*c.score_pair)(p, q, qrow), p};
           }
           std::partial_sort(scored.begin(), scored.begin() + c.k, scored.end(),
                             [](const auto& a, const auto& b) {
                               return a.first > b.first;
                             });
-          ctx[u].topk[q].assign(scored.begin(), scored.begin() + c.k);
+          c.topk[q].assign(scored.begin(), scored.begin() + c.k);
         }
       });
 
   for (size_t u = 0; u < units.size(); ++u) {
-    const KnnBatchUnit& unit = units[u];
+    if (ctx[u].delegated) continue;  // SelectPrompts produced the keep list
     KnnSelection& out = results[u];
-    if (ctx[u].fused) {
-      // Serial vote merge in query order, exactly as SelectPrompts.
-      for (auto& qk : ctx[u].topk) {
-        for (const auto& [score, p] : qk) {
-          out.votes[p] += score;
-          out.hit_counts[p] += 1;
-        }
+    // Serial vote merge in query order, exactly as SelectPrompts.
+    for (const auto& qk : ctx[u].topk) {
+      for (const auto& [score, p] : qk) {
+        out.votes[p] += score;
+        out.hit_counts[p] += 1;
       }
-    } else if (ctx[u].delegated) {
-      continue;  // IVF unit: SelectPrompts already produced the keep list.
     }
-    const int num_prompts = unit.prompt_embeddings->rows();
-    for (int cls = 0; cls < unit.num_classes; ++cls) {
-      std::vector<int> members;
-      for (int p = 0; p < num_prompts; ++p) {
-        if ((*unit.prompt_labels)[p] == cls) members.push_back(p);
-      }
-      std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-        const bool voted_a = out.hit_counts[a] > 0;
-        const bool voted_b = out.hit_counts[b] > 0;
-        if (voted_a != voted_b) return voted_a;
-        return out.votes[a] > out.votes[b];
-      });
-      const int keep = std::min<int>(unit.config.shots, members.size());
-      for (int i = 0; i < keep; ++i) out.selected.push_back(members[i]);
-    }
+    KeepPerClass(*units[u].prompt_labels, units[u].num_classes,
+                 units[u].config.shots, &out);
   }
   return results;
 }

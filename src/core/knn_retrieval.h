@@ -58,8 +58,8 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
                            const KnnConfig& config);
 
 // One independent selection problem inside a SelectPromptsBatch call (the
-// serving micro-batcher's fused stage-2 pass). Pointers must outlive the
-// call; importance tensors may point at undefined tensors when unused.
+// evaluation core's fused stage-2 pass). Pointers must outlive the call;
+// importance tensors may point at undefined tensors when unused.
 struct KnnBatchUnit {
   const Tensor* prompt_embeddings = nullptr;   // (P_i x d)
   const Tensor* prompt_importance = nullptr;   // (P_i x 1) or undefined
@@ -70,13 +70,14 @@ struct KnnBatchUnit {
   KnnConfig config;
 };
 
-// Fused multi-request selection: one candidate-scoring pass (a single
+// Fused multi-unit selection: one candidate-scoring pass (a single
 // ParallelFor over every unit's queries) instead of one pass per unit, so
-// cross-request batches amortise thread-pool fan-out. Each unit's result is
+// packed batches amortise thread-pool fan-out. Each unit's result is
 // bitwise identical to a standalone SelectPrompts call on the same inputs:
-// the per-pair Eq. 7 arithmetic, per-query partial_sort, serial per-unit
-// vote merge, and per-class keep are the exact-path code, and units whose
-// index resolves to IVF are delegated to SelectPrompts wholesale.
+// both use one Eq. 7 pair scorer and one per-class keep, with the same
+// per-query partial_sort and serial per-unit vote merge; units whose index
+// resolves to IVF are delegated to SelectPrompts wholesale, and a single
+// unit is a plain SelectPrompts call.
 std::vector<KnnSelection> SelectPromptsBatch(
     const std::vector<KnnBatchUnit>& units);
 

@@ -36,59 +36,29 @@ TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
                                       const std::vector<int>& prompt_labels,
                                       const Tensor& query_embeddings,
                                       int num_classes) const {
-  return std::move(ForwardBatch({{&prompt_embeddings, &prompt_labels,
-                                  &query_embeddings, num_classes}})[0]);
-}
-
-std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
-    const std::vector<TaskGraphUnit>& units) const {
-  if (units.empty()) return {};
-  GP_TRACE_SPAN(units.size() == 1 ? "task_graph/forward"
-                                  : "task_graph/forward_batch");
+  GP_TRACE_SPAN("task_graph/forward");
   const int dim = config_.embedding_dim;
+  CHECK_EQ(prompt_embeddings.cols(), dim);
+  CHECK_EQ(query_embeddings.cols(), dim);
+  CHECK_EQ(static_cast<size_t>(prompt_embeddings.rows()),
+           prompt_labels.size());
+  CHECK_GE(num_classes, 1);
 
-  // Node layout: per unit [prompts | queries | labels], units concatenated.
-  // Initial features: data-graph embeddings for data nodes. Label nodes
-  // start from the mean of their true-class prompts ("label embeddings in
-  // the task graph are aggregated from prompts", Sec. IV-B1) plus a shared
-  // learnable offset; the attention layers then refine them.
-  struct UnitLayout {
-    int base = 0;        // first node of the unit
-    int num_prompts = 0;
-    int num_queries = 0;
-    int num_classes = 0;
-  };
-  std::vector<UnitLayout> layout(units.size());
-  std::vector<Tensor> feature_parts;
-  feature_parts.reserve(units.size() * 3);
-  int total_nodes = 0;
-  for (size_t u = 0; u < units.size(); ++u) {
-    const TaskGraphUnit& unit = units[u];
-    CHECK_EQ(unit.prompt_embeddings->cols(), dim);
-    CHECK_EQ(unit.query_embeddings->cols(), dim);
-    CHECK_EQ(static_cast<size_t>(unit.prompt_embeddings->rows()),
-             unit.prompt_labels->size());
-    CHECK_GE(unit.num_classes, 1);
-    UnitLayout& l = layout[u];
-    l.base = total_nodes;
-    l.num_prompts = unit.prompt_embeddings->rows();
-    l.num_queries = unit.query_embeddings->rows();
-    l.num_classes = unit.num_classes;
-    total_nodes += l.num_prompts + l.num_queries + l.num_classes;
-    feature_parts.push_back(*unit.prompt_embeddings);
-    feature_parts.push_back(*unit.query_embeddings);
-    feature_parts.push_back(
-        Add(SegmentMeanRows(*unit.prompt_embeddings, *unit.prompt_labels,
-                            unit.num_classes),
-            label_init_));
-  }
-  Tensor h = ConcatRows(feature_parts);
+  // Node layout: [prompts | queries | labels]. Initial features: data-graph
+  // embeddings for data nodes. Label nodes start from the mean of their
+  // true-class prompts ("label embeddings in the task graph are aggregated
+  // from prompts", Sec. IV-B1) plus a shared learnable offset; the
+  // attention layers then refine them.
+  const int num_prompts = prompt_embeddings.rows();
+  const int num_queries = query_embeddings.rows();
+  const int label_base = num_prompts + num_queries;
+  const int total_nodes = label_base + num_classes;
+  Tensor h = ConcatRows(
+      {prompt_embeddings, query_embeddings,
+       Add(SegmentMeanRows(prompt_embeddings, prompt_labels, num_classes),
+           label_init_)});
 
-  // Bipartite edges, both directions, with edge attributes, emitted unit by
-  // unit: every destination node sees its incoming edges in the same
-  // sequence as when its unit runs alone, so SegmentSoftmax and the
-  // scatter-add reduce in the same order and reproduce those values
-  // bitwise.
+  // Bipartite edges, both directions, with edge attributes.
   std::vector<int> src, dst;
   std::vector<float> edge_feat;  // flattened (E x kEdgeFeatDim)
   auto add_edge = [&](int from, int to, bool is_true, bool is_false,
@@ -100,24 +70,17 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
     edge_feat.push_back(is_query ? 1.0f : 0.0f);
     edge_feat.push_back(reverse ? 1.0f : 0.0f);
   };
-  for (size_t u = 0; u < units.size(); ++u) {
-    const UnitLayout& l = layout[u];
-    const std::vector<int>& labels = *units[u].prompt_labels;
-    const int label_base = l.base + l.num_prompts + l.num_queries;
-    for (int p = 0; p < l.num_prompts; ++p) {
-      for (int c = 0; c < l.num_classes; ++c) {
-        const bool is_true = labels[p] == c;
-        add_edge(l.base + p, label_base + c, is_true, !is_true, false, false);
-        add_edge(label_base + c, l.base + p, is_true, !is_true, false, true);
-      }
+  for (int p = 0; p < num_prompts; ++p) {
+    for (int c = 0; c < num_classes; ++c) {
+      const bool is_true = prompt_labels[p] == c;
+      add_edge(p, label_base + c, is_true, !is_true, false, false);
+      add_edge(label_base + c, p, is_true, !is_true, false, true);
     }
-    for (int q = 0; q < l.num_queries; ++q) {
-      for (int c = 0; c < l.num_classes; ++c) {
-        add_edge(l.base + l.num_prompts + q, label_base + c, false, false,
-                 true, false);
-        add_edge(label_base + c, l.base + l.num_prompts + q, false, false,
-                 true, true);
-      }
+  }
+  for (int q = 0; q < num_queries; ++q) {
+    for (int c = 0; c < num_classes; ++c) {
+      add_edge(num_prompts + q, label_base + c, false, false, true, false);
+      add_edge(label_base + c, num_prompts + q, false, false, true, true);
     }
   }
   const int num_edges = static_cast<int>(src.size());
@@ -156,22 +119,16 @@ std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
     h = Add(h, Mul(update, layer.gate));
   }
 
-  // Per-unit score heads (Eq. 11): cosine similarity between the unit's
-  // query and label embeddings, scaled into logits, so no cross-unit pair
-  // is ever scored.
-  std::vector<TaskGraphOutput> outputs(units.size());
-  for (size_t u = 0; u < units.size(); ++u) {
-    const UnitLayout& l = layout[u];
-    TaskGraphOutput& out = outputs[u];
-    out.query_embeddings = SliceRows(h, l.base + l.num_prompts, l.num_queries);
-    out.label_embeddings =
-        SliceRows(h, l.base + l.num_prompts + l.num_queries, l.num_classes);
-    Tensor qn = RowL2Normalize(out.query_embeddings);
-    Tensor ln = RowL2Normalize(out.label_embeddings);
-    out.query_scores =
-        Scale(MatMul(qn, Transpose(ln)), config_.score_temperature);
-  }
-  return outputs;
+  // Score head (Eq. 11): cosine similarity between query and label
+  // embeddings, scaled into logits.
+  TaskGraphOutput out;
+  out.query_embeddings = SliceRows(h, num_prompts, num_queries);
+  out.label_embeddings = SliceRows(h, label_base, num_classes);
+  Tensor qn = RowL2Normalize(out.query_embeddings);
+  Tensor ln = RowL2Normalize(out.label_embeddings);
+  out.query_scores =
+      Scale(MatMul(qn, Transpose(ln)), config_.score_temperature);
+  return out;
 }
 
 }  // namespace gp

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch_eval.h"
 #include "core/graph_prompter.h"
 #include "core/knn_retrieval.h"
 #ifndef GP_GOLDEN_SEED_BOOTSTRAP
@@ -46,8 +47,10 @@ std::string Fmt(double value) {
 
 // Quickstart-shaped evaluation: deterministically initialised model (no
 // pretraining, so the test stays fast), synthetic downstream graph, three
-// trials. Pins per-trial accuracy plus the mean/std.
-std::string RenderEvalGolden() {
+// trials. Pins per-trial accuracy plus the mean/std. With `packed`, the
+// same request runs as the middle one of a three-request packed batch
+// whose neighbors use other ways, seeds and trial counts.
+std::string RenderEvalGolden(bool packed = false) {
   DatasetBundle downstream = MakeArxivSim(0.4, 21);
   GraphPrompterConfig config =
       FullGraphPrompterConfig(downstream.graph.feature_dim(), 7);
@@ -60,7 +63,21 @@ std::string RenderEvalGolden() {
   eval.num_queries = 40;
   eval.trials = 3;
   eval.seed = 99;
-  const EvalResult result = EvaluateInContext(model, downstream, eval);
+  EvalResult result;
+  if (packed) {
+    EvalConfig before = eval;
+    before.ways = 3;
+    before.seed = 5;
+    before.trials = 2;
+    EvalConfig after = eval;
+    after.ways = 4;
+    after.seed = 1234;
+    after.trials = 1;
+    result = EvaluateInContextBatch(model, downstream,
+                                    {before, eval, after})[1];
+  } else {
+    result = EvaluateInContext(model, downstream, eval);
+  }
 
   std::ostringstream out;
   out << "dataset " << downstream.name << "\n";
@@ -143,6 +160,12 @@ TEST(GoldenEvalTest, QuickstartTrialAccuracies) {
 
 TEST(GoldenEvalTest, SelectorTopKPerMetric) {
   CheckGolden("selector_topk.golden", RenderSelectionGolden());
+}
+
+// The packed path (one union encode, stacked importance and one fused kNN
+// sweep across requests) must render the same golden file byte for byte.
+TEST(GoldenEvalTest, PackedBatchMiddleRequestMatchesGolden) {
+  CheckGolden("quickstart_eval.golden", RenderEvalGolden(/*packed=*/true));
 }
 
 // The pipelined executor path (stage A of trial i+1 overlapped with stage

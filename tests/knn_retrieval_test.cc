@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
+#include "util/rng.h"
+
 namespace gp {
 namespace {
 
@@ -108,6 +114,100 @@ TEST(KnnRetrievalTest, FewerCandidatesThanShots) {
   const auto sel = SelectPrompts(prompts, Tensor(), labels, queries,
                                  Tensor(), 2, config);
   EXPECT_EQ(sel.selected.size(), 2u);  // everything available
+}
+
+// One problem of the fused sweep: its own candidates, queries, importance
+// and config.
+struct BatchProblem {
+  Tensor prompts, prompt_importance, queries, query_importance;
+  std::vector<int> labels;
+  int ways = 0;
+  KnnConfig config;
+};
+
+BatchProblem MakeProblem(int num_prompts, int num_queries, int dim, int ways,
+                         DistanceMetric metric, bool use_similarity,
+                         Rng* rng) {
+  BatchProblem b;
+  b.prompts = Tensor::Randn(num_prompts, dim, rng);
+  b.prompt_importance = Tensor::Randn(num_prompts, 1, rng);
+  b.queries = Tensor::Randn(num_queries, dim, rng);
+  b.query_importance = Tensor::Randn(num_queries, 1, rng);
+  for (int p = 0; p < num_prompts; ++p) b.labels.push_back(p % ways);
+  b.ways = ways;
+  b.config.shots = 3;
+  b.config.metric = metric;
+  b.config.use_similarity = use_similarity;
+  b.config.index.mode = IndexMode::kExact;  // the fused pass, not IVF
+  return b;
+}
+
+// Eq. 7-8 with the importance term alone, in plain arithmetic: every query
+// votes I_p * I_q for its top-k candidates, merged in query order.
+std::vector<double> ImportanceOnlyVotes(const BatchProblem& b) {
+  const int num_prompts = b.prompts.rows();
+  const int k = std::min(b.config.shots, num_prompts);
+  std::vector<double> votes(num_prompts, 0.0);
+  for (int q = 0; q < b.queries.rows(); ++q) {
+    std::vector<std::pair<double, int>> scored;
+    for (int p = 0; p < num_prompts; ++p) {
+      scored.push_back({static_cast<double>(b.prompt_importance.at(p, 0)) *
+                            b.query_importance.at(q, 0),
+                        p});
+    }
+    std::sort(scored.begin(), scored.end(),
+              [](const auto& x, const auto& y) { return x.first > y.first; });
+    for (int i = 0; i < k; ++i) votes[scored[i].second] += scored[i].first;
+  }
+  return votes;
+}
+
+// The fused multi-unit sweep must equal a standalone SelectPrompts per
+// unit, bit for bit, across metrics, pool sizes, ways, an importance-only
+// unit and an empty pool; the importance-only unit is also checked
+// against Eq. 7-8 computed by hand.
+TEST(KnnRetrievalTest, BatchMatchesStandaloneBitwise) {
+  Rng rng(2024);
+  std::vector<BatchProblem> problems;
+  problems.push_back(
+      MakeProblem(20, 7, 12, 4, DistanceMetric::kCosine, true, &rng));
+  problems.push_back(
+      MakeProblem(15, 3, 12, 3, DistanceMetric::kEuclidean, true, &rng));
+  problems.push_back(
+      MakeProblem(24, 10, 8, 6, DistanceMetric::kManhattan, true, &rng));
+  problems.push_back(
+      MakeProblem(9, 5, 12, 3, DistanceMetric::kCosine, false, &rng));
+  problems.push_back(
+      MakeProblem(0, 4, 12, 2, DistanceMetric::kCosine, true, &rng));
+
+  std::vector<KnnBatchUnit> units;
+  for (const BatchProblem& b : problems) {
+    units.push_back({&b.prompts, &b.prompt_importance, &b.labels, &b.queries,
+                     &b.query_importance, b.ways, b.config});
+  }
+  const std::vector<KnnSelection> batched = SelectPromptsBatch(units);
+  ASSERT_EQ(batched.size(), problems.size());
+  for (size_t u = 0; u < problems.size(); ++u) {
+    const BatchProblem& b = problems[u];
+    const KnnSelection alone =
+        SelectPrompts(b.prompts, b.prompt_importance, b.labels, b.queries,
+                      b.query_importance, b.ways, b.config);
+    EXPECT_EQ(batched[u].selected, alone.selected) << "unit " << u;
+    EXPECT_EQ(batched[u].hit_counts, alone.hit_counts) << "unit " << u;
+    ASSERT_EQ(batched[u].votes.size(), alone.votes.size()) << "unit " << u;
+    EXPECT_EQ(std::memcmp(batched[u].votes.data(), alone.votes.data(),
+                          alone.votes.size() * sizeof(double)),
+              0)
+        << "unit " << u << ": vote bits differ";
+  }
+  EXPECT_TRUE(batched[4].selected.empty());
+
+  const std::vector<double> want = ImportanceOnlyVotes(problems[3]);
+  ASSERT_EQ(batched[3].votes.size(), want.size());
+  EXPECT_EQ(std::memcmp(batched[3].votes.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0)
+      << "importance-only votes differ from Eq. 7-8";
 }
 
 TEST(KnnRetrievalTest, MetricNames) {

@@ -1,9 +1,9 @@
 // Determinism pins for the pipelined stage executor (DESIGN.md §13).
 //
 // The contract under test: pipelining grants *scheduling* freedom only.
-// With GP_PIPELINE on, stage A (episode sampling + embedding) of trial
-// i+1 overlaps stage B (selection + prediction) of trial i on a
-// background worker, and pretraining episode construction overlaps the
+// With GP_PIPELINE on, the prepare of trial i+1 (episode sampling,
+// embedding and prompt selection) runs on a background worker while
+// stage 3 (prediction) of trial i runs on the caller, and pretraining episode construction overlaps the
 // optimizer step — yet every prediction, accuracy, loss value, and kept
 // embedding byte must equal the serial run exactly, at any ParallelFor
 // width, over every GraphView backend (in-memory Graph, GraphAdapter
